@@ -225,25 +225,7 @@ func SolveIncremental(sys *model.System, k int, opts IncrementalOptions) Result 
 // single transition-relation copy and keeps all learned clauses; Stats
 // afterwards holds the cumulative cost of the whole run.
 func (u *IncrementalUnroller) Deepen(maxBound int) DeepenResult {
-	res := DeepenResult{FoundAt: -1}
-	for k := 0; k <= maxBound; k++ {
-		res.Iterations++
-		res.BoundsTried = append(res.BoundsTried, k)
-		r := u.CheckBound(k)
-		switch r.Status {
-		case Reachable:
-			res.Status = Reachable
-			res.FoundAt = k
-			res.Witness = r.Witness
-			res.System = r.System
-			return res
-		case Unknown:
-			res.Status = Unknown
-			return res
-		}
-	}
-	res.Status = Unreachable
-	return res
+	return DeepenLinearFrom(-1, maxBound, u.CheckBound)
 }
 
 // DeepenGeometric runs the geometric deepening schedule on this

@@ -14,8 +14,9 @@ package service
 //	                        advisory and any requested bound answers
 //	                        from cache.
 //	POST   /v1/batch        submit several models at once; synchronous.
-//	                        Cached items answer immediately, the rest
-//	                        fan over CheckMany/DeepenMany.
+//	                        Admitted all-or-nothing; each item is an
+//	                        ordinary job on the worker pool, answered
+//	                        as /v1/check would, in submission order.
 //	GET    /v1/jobs/{id}    job status (result embedded once done)
 //	GET    /v1/results/{id} result only; 202 while still running
 //	DELETE /v1/jobs/{id}    cooperative cancel
@@ -32,6 +33,7 @@ package service
 // load balancer in front of a rolling restart wants to see.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -178,18 +180,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	parent := sebmc.NewCancelFlag()
+	items, err := s.newBatchJobs(req.Jobs, parent)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	// Clustered: fan the batch out by owning shard, unless a peer
 	// already routed it here — a forwarded partition always runs
 	// locally, whatever this shard's ring says.
 	if cs := s.clusterView(); cs != nil {
 		if r.Header.Get(forwardHeader) == "" {
-			s.clusterBatch(w, r, req)
+			s.clusterBatch(w, r, items, parent)
 			return
 		}
-		s.metrics.clusterForwardedIn.Add(int64(len(req.Jobs)))
+		s.metrics.clusterForwardedIn.Add(int64(len(items)))
 	}
-	parent := newBatchCancel(r)
-	results, err := s.localBatchReqs(req.Jobs, parent)
+	results, err := s.serveBatch(r.Context(), items, parent)
 	if err != nil {
 		s.writeError(w, submitCode(err), err)
 		return
@@ -197,63 +204,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
-// localBatchReqs parses a batch slice into jobs sharing one cancel
-// flag and runs it through localBatch.
-func (s *Server) localBatchReqs(reqs []CheckRequest, parent *sebmc.CancelFlag) ([]*JobResult, error) {
+// newBatchJobs parses a batch into jobs. Each item gets its own cancel
+// flag derived from parent: answer arms an item's timeout_ms by setting
+// that item's flag, so a shared flag would let one item's timeout
+// cancel its siblings, while setting parent still cancels them all.
+func (s *Server) newBatchJobs(reqs []CheckRequest, parent *sebmc.CancelFlag) ([]*job, error) {
 	items := make([]*job, len(reqs))
 	for i, jr := range reqs {
 		j, err := s.newJob(jr)
 		if err != nil {
 			return nil, fmt.Errorf("service: batch job %d: %w", i, err)
 		}
-		j.cancel = parent
+		j.cancel = sebmc.DeriveCancel(parent)
 		items[i] = j
 	}
-	return s.localBatch(items)
+	return items, nil
 }
 
-// localBatch admits and runs a parsed batch on this shard. Batch items
-// run on the library's own work-stealing pool rather than queue slots,
-// but they are admitted against the same bound: queued singles plus
-// in-flight batch items must fit the queue capacity, so a flood of
-// batch posts gets 503 exactly like a flood of singles would —
-// admitted work is never unbounded. (A single batch larger than the
-// queue capacity is therefore always rejected; split it.)
-func (s *Server) localBatch(items []*job) ([]*JobResult, error) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.metrics.rejected.Add(int64(len(items)))
-		return nil, ErrDraining
+// serveBatch enqueues a batch on this shard and waits for its results in
+// submission order. The client going away sets parent, cancelling every
+// item the way a disconnect cancels a synchronous check.
+func (s *Server) serveBatch(ctx context.Context, items []*job, parent *sebmc.CancelFlag) ([]*JobResult, error) {
+	if err := s.enqueueBatch(items); err != nil {
+		return nil, err
 	}
-	if len(s.queue)+s.batchJobs+len(items) > s.cfg.QueueDepth {
-		s.mu.Unlock()
-		s.metrics.rejected.Add(int64(len(items)))
-		return nil, ErrQueueFull
+	out := make([]*JobResult, len(items))
+	for i, j := range items {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			parent.Set()
+			<-j.done
+		}
+		out[i] = j.Result()
 	}
-	s.batchJobs += len(items)
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.batchJobs -= len(items)
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
-	s.metrics.submitted.Add(int64(len(items)))
-	return s.runBatch(items), nil
-}
-
-// newBatchCancel returns a flag that is set when the request's client
-// disconnects (the request context also ends when the handler returns,
-// so the watcher never outlives the batch by more than a moment).
-func newBatchCancel(r *http.Request) *sebmc.CancelFlag {
-	parent := sebmc.NewCancelFlag()
-	go func() {
-		<-r.Context().Done()
-		parent.Set()
-	}()
-	return parent
+	return out, nil
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

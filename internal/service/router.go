@@ -576,7 +576,11 @@ func relayResponse(w http.ResponseWriter, resp *http.Response) {
 
 // proxyBatch forwards a whole batch partition to its owning shard and
 // decodes the merged results.
-func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, reqs []CheckRequest) ([]*JobResult, error) {
+func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, items []*job) ([]*JobResult, error) {
+	reqs := make([]CheckRequest, len(items))
+	for i, j := range items {
+		reqs[i] = j.req
+	}
 	payload, err := json.Marshal(BatchRequest{Jobs: reqs})
 	if err != nil {
 		return nil, err
@@ -609,7 +613,7 @@ func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, re
 type batchGroup struct {
 	target *cluster.Shard // nil = this shard
 	idx    []int          // positions in the original batch
-	reqs   []CheckRequest
+	items  []*job
 }
 
 // clusterBatch partitions a batch by owning shard, runs the local
@@ -619,17 +623,12 @@ type batchGroup struct {
 // with that error (the all-or-nothing contract single-shard batches
 // already have), after one local-fallback attempt for remote
 // partitions whose owner bounced.
-func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchRequest) {
+func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*job, parent *sebmc.CancelFlag) {
 	cs := s.clusterView()
 	groups := make(map[string]*batchGroup)
 	order := make([]string, 0, 4) // deterministic fan-out order
-	for i, jr := range req.Jobs {
-		sys, err := loadModel(jr)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: batch job %d: %w", i, err))
-			return
-		}
-		target, _ := cs.routeTarget(sebmc.ModelHash(sys), s.Draining())
+	for i, j := range items {
+		target, _ := cs.routeTarget(j.hash, s.Draining())
 		id := ""
 		if target != nil {
 			id = target.ID
@@ -641,13 +640,12 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchR
 			order = append(order, id)
 		}
 		g.idx = append(g.idx, i)
-		g.reqs = append(g.reqs, jr)
+		g.items = append(g.items, j)
 	}
 
-	out := make([]*JobResult, len(req.Jobs))
+	out := make([]*JobResult, len(items))
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
-	parent := newBatchCancel(r)
 	for gi, id := range order {
 		g := groups[id]
 		wg.Add(1)
@@ -656,19 +654,19 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, req BatchR
 			var results []*JobResult
 			var err error
 			if g.target != nil {
-				s.metrics.clusterProxied.Add(int64(len(g.reqs)))
-				results, err = cs.proxyBatch(r.Context(), *g.target, g.reqs)
+				s.metrics.clusterProxied.Add(int64(len(g.items)))
+				results, err = cs.proxyBatch(r.Context(), *g.target, g.items)
 				if err != nil {
 					// The owner bounced: demote it and run the partition
 					// here — locality is an optimization, the answer is
 					// the contract.
 					cs.tracker.NoteDown(g.target.ID)
-					s.metrics.clusterShedServed.Add(int64(len(g.reqs)))
-					results, err = s.localBatchReqs(g.reqs, parent)
+					s.metrics.clusterShedServed.Add(int64(len(g.items)))
+					results, err = s.serveBatch(r.Context(), g.items, parent)
 				}
 			} else {
-				s.metrics.clusterOwnedServed.Add(int64(len(g.reqs)))
-				results, err = s.localBatchReqs(g.reqs, parent)
+				s.metrics.clusterOwnedServed.Add(int64(len(g.items)))
+				results, err = s.serveBatch(r.Context(), g.items, parent)
 			}
 			if err != nil {
 				errs[gi] = err

@@ -3,10 +3,12 @@
 // requests. Three mechanisms make the server cheaper than re-running
 // the CLI per query:
 //
-//   - a bounded job queue fanned over a fixed worker pool (batch
-//     submissions additionally fan over the library's CheckMany /
-//     DeepenMany work-stealing pool), with cooperative cancellation on
-//     client disconnect, per-request timeout, and explicit cancel;
+//   - a bounded job queue fanned over a fixed worker pool, with
+//     cooperative cancellation on client disconnect, per-request
+//     timeout, and explicit cancel. A batch is admitted all-or-nothing
+//     and its items are ordinary queued jobs — same cache, sessions
+//     and admission ladder as a single check; sync, async and batch
+//     submissions differ only in how they wait;
 //   - a verdict cache keyed by (model content hash, bound, semantics,
 //     engine, deepen, CNF mode) under an LRU byte budget, accounted the
 //     same honest way as the solvers' ClauseDBBytes/MemBytes;
@@ -130,14 +132,13 @@ type Server struct {
 	cluster     atomic.Pointer[clusterState]
 	clusterOnce sync.Once
 
-	mu        sync.Mutex
-	draining  bool
-	queue     chan *job
-	batchJobs int // batch items admitted and not yet finished
-	jobs      map[string]*job
-	order     []string // submission order, for history eviction
-	head      int      // rolling eviction cursor into order
-	nextID    uint64
+	mu       sync.Mutex
+	draining bool
+	queue    chan *job
+	jobs     map[string]*job
+	order    []string // submission order, for history eviction
+	head     int      // rolling eviction cursor into order
+	nextID   uint64
 
 	wg sync.WaitGroup
 }
@@ -219,7 +220,10 @@ func (s *Server) submit(req CheckRequest) (*job, error) {
 // so the cluster router can parse (for the model hash) before deciding
 // whether this shard runs the job at all.
 func (s *Server) enqueue(j *job) error {
-	if err := s.admit(j); err != nil {
+	if err := s.admitKey(j); err != nil {
+		return err
+	}
+	if err := s.admitLoad(1); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -244,21 +248,57 @@ func (s *Server) enqueue(j *job) error {
 	return nil
 }
 
-// admit is the admission ladder shared by single submissions and batch
-// items: the (model, engine) circuit breaker answers known-crashy keys
-// immediately (no worker touched), then the memory watermark sheds
-// idle warm sessions LRU-first and rejects only if shedding still
-// leaves retained memory over the line.
-func (s *Server) admit(j *job) error {
+// enqueueBatch admits a parsed batch all-or-nothing and enqueues its
+// items as ordinary jobs. The memory watermark, a drain or a full queue
+// rejects the whole batch, counting every item; a batch larger than the
+// queue is always rejected. Every queue send happens under s.mu, so the
+// sends after the capacity check cannot block. A quarantined item is
+// answered ERROR in place and the rest still run.
+func (s *Server) enqueueBatch(items []*job) error {
+	if err := s.admitLoad(len(items)); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		s.metrics.rejected.Add(int64(len(items)))
+		return ErrDraining
+	}
+	if len(s.queue)+len(items) > s.cfg.QueueDepth {
+		s.metrics.rejected.Add(int64(len(items)))
+		return ErrQueueFull
+	}
+	for _, j := range items {
+		if err := s.admitKey(j); err != nil {
+			j.finish(errorResult(j, err, false))
+			continue
+		}
+		s.registerLocked(j)
+		s.queue <- j
+		s.metrics.submitted.Add(1)
+	}
+	return nil
+}
+
+// admitKey is the circuit breaker: a known-crashy (model, engine) key
+// is answered immediately, no worker touched.
+func (s *Server) admitKey(j *job) error {
 	if err := s.quar.allow(j.quarantineKey()); err != nil {
 		s.metrics.quarantineRejected.Add(1)
 		s.metrics.rejected.Add(1)
 		return err
 	}
+	return nil
+}
+
+// admitLoad is the overload ladder for n jobs admitted together: the
+// memory watermark sheds idle warm sessions LRU-first and rejects only
+// if shedding still leaves retained memory over the line.
+func (s *Server) admitLoad(n int) error {
 	// Fault-injection site: an injected error exercises the
 	// 503-with-live-Retry-After rejection path without real pressure.
 	if err := faultpoint.Hit("service.queue.admit"); err != nil {
-		s.metrics.rejected.Add(1)
+		s.metrics.rejected.Add(int64(n))
 		return fmt.Errorf("%w: %v", ErrOverloaded, err)
 	}
 	if hw := s.cfg.MemHighWater; hw > 0 {
@@ -266,8 +306,8 @@ func (s *Server) admit(j *job) error {
 			shed, freed := s.sessions.shedIdle(over)
 			s.metrics.sessionsShed.Add(int64(shed))
 			if freed < over {
-				s.metrics.overloadRejected.Add(1)
-				s.metrics.rejected.Add(1)
+				s.metrics.overloadRejected.Add(int64(n))
+				s.metrics.rejected.Add(int64(n))
 				return ErrOverloaded
 			}
 		}
@@ -302,9 +342,8 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// newJob parses and validates a request into a runnable job (without
-// registering it — batch items are run in place, never queued
-// individually).
+// newJob parses and validates a request into a runnable job, without
+// registering it: enqueue and enqueueBatch do that on admission.
 func (s *Server) newJob(req CheckRequest) (*job, error) {
 	sys, err := loadModel(req)
 	if err != nil {
@@ -548,13 +587,12 @@ func (s *Server) terminalHit(j *job) *JobResult {
 }
 
 // finishResult is the single post-processing path every answered job —
-// single or batch item, computed or cached — goes through: count
-// internal errors and recovered panics, fill the verdict cache (clean
-// decided, freshly computed answers only; UNKNOWN depends on the
-// request's budget, not the question, and ERROR or a failed witness
-// replay must never be replayed from cache), feed the circuit breaker,
-// bump the completion metrics, and strip the witness the requester did
-// not ask for. Stripping happens after caching, so the cache keeps the
+// computed or cached — goes through: count internal errors and
+// recovered panics, fill the verdict cache (clean decided, freshly
+// computed answers only; UNKNOWN depends on the request's budget, not
+// the question, and ERROR or a failed witness replay must never be
+// replayed from cache), feed the circuit breaker, bump the completion
+// metrics, and strip the witness the requester did not ask for. Stripping happens after caching, so the cache keeps the
 // trace for later requesters who do want it.
 func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 	if res.errored() {
@@ -648,70 +686,4 @@ func (s *Server) solve(j *job) *JobResult {
 		return fromDeepen(sebmc.Deepen(j.sys, j.req.Bound, j.engine, opts), j, false)
 	}
 	return fromResult(sebmc.Check(j.sys, j.req.Bound, j.engine, opts), j, false)
-}
-
-// runBatch answers a whole batch: cached items immediately, the misses
-// fanned over the library's CheckMany/DeepenMany work-stealing pool.
-// Batch items bypass the session pool — a batch is a one-shot sweep,
-// and its items would otherwise serialize on per-model session locks.
-func (s *Server) runBatch(items []*job) []*JobResult {
-	out := make([]*JobResult, len(items))
-	var missIdx []int
-	var libJobs []sebmc.Job
-	for i, j := range items {
-		// Quarantined keys are answered per item — the rest of the batch
-		// still runs. The breaker is not re-taught here: a quarantine
-		// rejection is a symptom, not a new strike.
-		if err := s.quar.allow(j.quarantineKey()); err != nil {
-			s.metrics.quarantineRejected.Add(1)
-			out[i] = &JobResult{Status: StatusError, Bound: j.req.Bound, FoundAt: -1, Error: err.Error()}
-			s.metrics.completed.Add(1)
-			continue
-		}
-		if res := s.terminalHit(j); res != nil {
-			out[i] = s.finishResult(j, res)
-			continue
-		}
-		if v, ok := s.cache.get(j.key()); ok {
-			s.metrics.cacheHits.Add(1)
-			res := v.result()
-			res.Cached = true
-			out[i] = s.finishResult(j, res)
-			continue
-		}
-		s.metrics.cacheMisses.Add(1)
-		missIdx = append(missIdx, i)
-		libJobs = append(libJobs, sebmc.Job{
-			Sys:    j.sys,
-			K:      j.req.Bound,
-			Engine: j.engine,
-			Opts: sebmc.Options{
-				Semantics:         j.sem,
-				Schedule:          j.sched,
-				PlaistedGreenbaum: j.req.PlaistedGreenbaum,
-				Timeout:           j.timeout,
-				Cancel:            j.cancel,
-			},
-		})
-	}
-	if len(libJobs) > 0 {
-		// The library pool contains solver panics itself (they come back
-		// as Result.Err); finishContained additionally guards the
-		// conversion and caching of each item, so one poisoned result
-		// cannot take down the whole batch's goroutine.
-		if items[0].req.Deepen {
-			for bi, d := range sebmc.DeepenMany(libJobs, s.cfg.Workers) {
-				i := missIdx[bi]
-				d := d
-				out[i] = s.finishContained(items[i], func() *JobResult { return fromDeepen(d, items[i], false) })
-			}
-		} else {
-			for bi, r := range sebmc.CheckMany(libJobs, s.cfg.Workers) {
-				i := missIdx[bi]
-				r := r
-				out[i] = s.finishContained(items[i], func() *JobResult { return fromResult(r, items[i], false) })
-			}
-		}
-	}
-	return out
 }

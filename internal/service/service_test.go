@@ -10,6 +10,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -475,6 +476,124 @@ func TestServiceBatch(t *testing.T) {
 	}
 }
 
+// TestServiceBatchConcurrentWarmSessions: concurrent batches whose
+// items share warm sat-incr sessions all answer correctly, and every
+// admitted item is accounted as completed.
+func TestServiceBatchConcurrentWarmSessions(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 3, CacheBytes: -1})
+
+	batch := BatchRequest{Jobs: []CheckRequest{
+		{Model: cexMSL, Bound: 5, Engine: "sat-incr", Deepen: true, Witness: true},
+		{Model: safeMSL, Bound: 6, Engine: "sat-incr", Deepen: true},
+		{Model: cexMSL, Bound: 4, Engine: "sat-incr", Deepen: true},
+	}}
+	want := []string{"REACHABLE", "UNREACHABLE", "UNREACHABLE"}
+	const posts = 6
+	errs := make(chan error, posts)
+	for i := 0; i < posts; i++ {
+		go func() {
+			var resp BatchResponse
+			b, _ := json.Marshal(batch)
+			r, err := http.Post(url+"/v1/batch", "application/json", strings.NewReader(string(b)))
+			if err == nil {
+				err = json.NewDecoder(r.Body).Decode(&resp)
+				r.Body.Close()
+			}
+			for k := range want {
+				if err == nil && (len(resp.Results) != len(want) || resp.Results[k].Status != want[k]) {
+					err = fmt.Errorf("results %+v, want statuses %v", resp.Results, want)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < posts; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	m := s.Metrics()
+	if m.Submitted != posts*3 || m.Completed != posts*3 || m.Sessions.Hits == 0 {
+		t.Fatalf("submitted=%d completed=%d session hits=%d, want %d/%d/>0",
+			m.Submitted, m.Completed, m.Sessions.Hits, posts*3, posts*3)
+	}
+}
+
+// TestServiceBatchProvesLikeCheck: a batch item takes the same path as
+// a single check, so engine=interp runs the prover and ships the
+// replayed invariant certificate a /v1/check would — and the terminal
+// entry it caches still serves the certificate to a later check.
+func TestServiceBatchProvesLikeCheck(t *testing.T) {
+	_, checkURL := newTestServer(t, Config{Workers: 1})
+	want := checkWait(t, checkURL, CheckRequest{Model: safeMSL, Bound: 4, Engine: "interp", Certificate: true})
+	if !want.CertificateValidated || want.Certificate == "" {
+		t.Fatalf("/v1/check interp: no validated certificate: %+v", want)
+	}
+
+	_, url := newTestServer(t, Config{Workers: 1})
+	var resp BatchResponse
+	batch := BatchRequest{Jobs: []CheckRequest{{Model: safeMSL, Bound: 4, Engine: "interp", Certificate: true}}}
+	if code := postJSON(t, url+"/v1/batch", batch, &resp); code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d", code)
+	}
+	got := resp.Results[0]
+	if got.Status != "SAFE" || !got.CertificateValidated || got.Certificate != want.Certificate {
+		t.Fatalf("batch interp item: %+v, want the /v1/check answer %+v", got, want)
+	}
+	r := checkWait(t, url, CheckRequest{Model: safeMSL, Bound: 9, Certificate: true})
+	if !r.Cached || r.Certificate != want.Certificate {
+		t.Fatalf("check after the batch: %+v, want a cache hit carrying the certificate", r)
+	}
+}
+
+// TestServiceBatchWatermarkRejects: batch admission goes through the
+// same memory watermark as a single check — over the line with nothing
+// left to shed, the whole batch is turned away and every item counted.
+func TestServiceBatchWatermarkRejects(t *testing.T) {
+	s, url := newTestServer(t, Config{Workers: 1, DefaultEngine: sebmc.EngineJSAT, MemHighWater: 1})
+
+	r := checkWait(t, url, CheckRequest{Model: cexMSL, Bound: 5, Semantics: "atmost"})
+	if r.Status != "REACHABLE" {
+		t.Fatalf("warmup: %s (%q)", r.Status, r.Error)
+	}
+	if live, _, _ := s.sessions.stats(); live != 1 {
+		t.Fatalf("warmup must retain one session, have %d", live)
+	}
+	batch := BatchRequest{Jobs: []CheckRequest{{Model: safeMSL, Bound: 3}, {Model: cexMSL, Bound: 4}}}
+	if code := postJSON(t, url+"/v1/batch", batch, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("over-watermark batch: HTTP %d, want 503", code)
+	}
+	if code := postJSON(t, url+"/v1/check", CheckRequest{Model: safeMSL, Bound: 3, Wait: true}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("over-watermark check: HTTP %d, want 503", code)
+	}
+	if m := s.Metrics(); m.Overload.Rejected != 3 || m.Rejected != 3 {
+		t.Fatalf("overload rejected = %d, rejected = %d, want 3/3 (2 batch items + 1 check)", m.Overload.Rejected, m.Rejected)
+	}
+}
+
+// TestServiceBatchItemTimeoutIsolated: each batch item has its own
+// cancel flag, so one item running out its timeout_ms does not cancel
+// the item queued behind it on the single worker.
+func TestServiceBatchItemTimeoutIsolated(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+
+	src := aagSource(t, circuits.ParityGuard(10))
+	batch := BatchRequest{Jobs: []CheckRequest{
+		{Model: src, Format: "aag", Bound: 8, Engine: "jsat", TimeoutMS: 50},
+		{Model: cexMSL, Bound: 5, Engine: "sat"},
+	}}
+	var resp BatchResponse
+	if code := postJSON(t, url+"/v1/batch", batch, &resp); code != http.StatusOK {
+		t.Fatalf("batch: HTTP %d", code)
+	}
+	if got := resp.Results[0].Status; got != "UNKNOWN" {
+		t.Fatalf("budgeted ParityGuard item: %s, want UNKNOWN", got)
+	}
+	if got := resp.Results[1].Status; got != "REACHABLE" {
+		t.Fatalf("item behind the timed-out one: %s, want REACHABLE", got)
+	}
+}
+
 // TestServiceCancelRunningJob pins cooperative cancellation through the
 // HTTP layer: ParityGuard's fan-out makes jSAT effectively
 // non-terminating at this bound, so only a working DELETE -> CancelFlag
@@ -573,6 +692,51 @@ func TestServiceWaitDisconnectCancels(t *testing.T) {
 	r := checkWait(t, url, CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"})
 	if r.Status != "REACHABLE" {
 		t.Fatalf("job after disconnect-cancel: %s, want REACHABLE", r.Status)
+	}
+}
+
+// TestServiceBatchDisconnectCancels: a batch client going away cancels
+// every item, the running one and the one still queued behind it.
+func TestServiceBatchDisconnectCancels(t *testing.T) {
+	_, url := newTestServer(t, Config{Workers: 1})
+
+	item := CheckRequest{Model: aagSource(t, circuits.ParityGuard(10)), Format: "aag", Bound: 8, Engine: "jsat"}
+	body, _ := json.Marshal(BatchRequest{Jobs: []CheckRequest{item, item}})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/batch", strings.NewReader(string(body)))
+	req.Header.Set("Content-Type", "application/json")
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+
+	waitMetrics := func(what string, ok func(MetricsSnapshot) bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			var m MetricsSnapshot
+			getJSON(t, url+"/metrics", &m)
+			if ok(m) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, m)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitMetrics("first item never started", func(m MetricsSnapshot) bool { return m.Submitted == 2 && m.QueueDepth == 1 })
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("expected the aborted batch to error")
+	}
+	waitMetrics("items not cancelled", func(m MetricsSnapshot) bool { return m.Cancelled == 2 })
+	if r := checkWait(t, url, CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat"}); r.Status != "REACHABLE" {
+		t.Fatalf("job after batch disconnect: %s, want REACHABLE", r.Status)
 	}
 }
 

@@ -74,7 +74,6 @@ import (
 	"repro/internal/aig"
 	"repro/internal/bmc"
 	"repro/internal/explicit"
-	"repro/internal/induction"
 	"repro/internal/interp"
 	"repro/internal/jsat"
 	"repro/internal/model"
@@ -200,11 +199,10 @@ const (
 	// ScheduleLinear steps k → k+1: one solver invocation per bound,
 	// O(maxBound) invocations total. The default.
 	ScheduleLinear Schedule = iota
-	// ScheduleGeometric grows the bound geometrically (k → 2k by
-	// default, Options.GeometricRatio to change it) under at-most-k
-	// semantics, then binary-searches the last growth interval, so
-	// FoundAt is still the exact shortest counterexample depth in
-	// O(log maxBound) invocations. Deepen forces at-most-k semantics
+	// ScheduleGeometric grows the bound geometrically (k → 2k) under
+	// at-most-k semantics, then binary-searches the last growth
+	// interval, so FoundAt is still the exact shortest counterexample
+	// depth in O(log maxBound) invocations. Deepen forces at-most-k semantics
 	// for it: skipping bounds is unsound under exact-k.
 	ScheduleGeometric
 )
@@ -249,8 +247,6 @@ type Options struct {
 	// PlaistedGreenbaum selects the polarity-aware CNF transformation
 	// instead of full Tseitin.
 	PlaistedGreenbaum bool
-	// DisableJSATCache turns off jSAT's hopeless-state cache.
-	DisableJSATCache bool
 	// Cancel, when non-nil, aborts the check cooperatively: the flag is
 	// polled by every solver loop on the same schedule as its deadline,
 	// so a cancelled check returns Unknown within a few conflicts. The
@@ -270,9 +266,6 @@ type Options struct {
 	// semantics. EngineQBFSquaring ignores it and always follows its
 	// power-of-two squaring schedule.
 	Schedule Schedule
-	// GeometricRatio is ScheduleGeometric's bound-growth factor; values
-	// ≤ 1 mean the default doubling (k → 2k).
-	GeometricRatio float64
 }
 
 func (o Options) mode() tseitin.Mode {
@@ -329,13 +322,12 @@ func checkSingle(sys *System, k int, engine Engine, opts Options) Result {
 		// cutoffs for the same check.
 		d := opts.deadline()
 		s := jsat.New(sys, jsat.Options{
-			Semantics:    opts.Semantics,
-			Mode:         opts.mode(),
-			QueryBudget:  opts.QueryBudget,
-			Deadline:     d,
-			Cancel:       opts.Cancel,
-			DisableCache: opts.DisableJSATCache,
-			SAT:          sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: d},
+			Semantics:   opts.Semantics,
+			Mode:        opts.mode(),
+			QueryBudget: opts.QueryBudget,
+			Deadline:    d,
+			Cancel:      opts.Cancel,
+			SAT:         sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: d},
 		})
 		return s.Check(k)
 	case EngineQBFLinear:
@@ -444,46 +436,16 @@ func deepenSingle(sys *System, maxBound int, engine Engine, opts Options) Deepen
 	if opts.Schedule == ScheduleGeometric {
 		opts.Semantics = AtMost
 		if engine == EngineSATIncr {
-			return bmc.DeepenGeometricIncremental(sys, maxBound, opts.GeometricRatio, opts.incremental())
+			return bmc.DeepenGeometricIncremental(sys, maxBound, bmc.DefaultGeometricRatio, opts.incremental())
 		}
 		check := func(m *System, k int) Result { return Check(m, k, engine, opts) }
-		return bmc.DeepenGeometric(sys, maxBound, opts.GeometricRatio, check)
+		return bmc.DeepenGeometric(sys, maxBound, bmc.DefaultGeometricRatio, check)
 	}
 	if engine == EngineSATIncr {
 		return bmc.DeepenIncremental(sys, maxBound, opts.incremental())
 	}
 	check := func(m *System, k int) Result { return Check(m, k, engine, opts) }
 	return bmc.DeepenLinear(sys, maxBound, check)
-}
-
-// ProveResult is the legacy k-induction result shape.
-//
-// Deprecated: Prove now returns the unified Verdict. ProveKInduction
-// keeps the old contract for callers that want the raw induction arm.
-type ProveResult = induction.Result
-
-// Unbounded proof outcomes of the legacy k-induction surface.
-//
-// / Deprecated: compare Verdict.Status against Safe / Reachable instead.
-const (
-	Proved    = induction.Proved
-	Falsified = induction.Falsified
-	// ProofUnknown is the inconclusive outcome of ProveKInduction
-	// (distinct from the bounded-check Unknown, a different type).
-	ProofUnknown = induction.Unknown
-)
-
-// ProveKInduction attempts a full safety proof by k-induction with the
-// simple-path constraint, deepening k up to maxK — the bound-sufficiency
-// technique the paper's introduction positions BMC against.
-//
-// / Deprecated: use Prove, which races k-induction against interpolation
-// and returns a Verdict with a replayable certificate.
-func ProveKInduction(sys *System, maxK int, opts Options) ProveResult {
-	return induction.Prove(sys, maxK, induction.Options{
-		Mode: opts.mode(),
-		SAT:  sat.Options{ConflictBudget: opts.ConflictBudget, Deadline: opts.deadline(), Cancel: opts.Cancel},
-	})
 }
 
 // LoadMSL elaborates a Model Specification Language source text.

@@ -130,11 +130,10 @@ func (c *Certificate) Validate(sys *System) error {
 	return nil
 }
 
-// Verdict is the unified result shape of the redesigned API: every
-// checking surface — bounded Check, iterative Deepen, unbounded Prove —
-// reduces to one of these. Result, DeepenResult and ProveResult remain
-// as thin aliases for existing callers; new code should consume
-// Verdicts.
+// Verdict is the result shape of the unbounded proving surface (Prove,
+// ProveInterp): a status that may be terminal, plus the replayable
+// certificate that backs it. Bounded checks and deepening runs report
+// Result and DeepenResult.
 type Verdict struct {
 	Status Status
 	// K is the bound the status is relative to: the counterexample
@@ -159,39 +158,6 @@ type Verdict struct {
 	PeakBytes int
 	// Err reports an internal failure; Status is Unknown when set.
 	Err error
-}
-
-// VerdictOf lifts a bounded check Result into the unified shape.
-func VerdictOf(r Result) Verdict {
-	v := Verdict{
-		Status:    r.Status,
-		K:         r.K,
-		Terminal:  r.Status == Safe,
-		System:    r.System,
-		DecidedBy: r.DecidedBy,
-		Conflicts: r.Conflicts,
-		PeakBytes: r.PeakBytes,
-		Err:       r.Err,
-	}
-	if r.Witness != nil {
-		v.Certificate = &Certificate{Kind: CertWitness, Witness: r.Witness}
-	}
-	return v
-}
-
-// VerdictOfDeepen lifts a DeepenResult into the unified shape.
-func VerdictOfDeepen(d DeepenResult) Verdict {
-	v := Verdict{
-		Status:    d.Status,
-		K:         d.FoundAt,
-		System:    d.System,
-		DecidedBy: d.DecidedBy,
-		Err:       d.Err,
-	}
-	if d.Witness != nil {
-		v.Certificate = &Certificate{Kind: CertWitness, Witness: d.Witness}
-	}
-	return v
 }
 
 // Prove attempts to settle the model at every bound: it races the
