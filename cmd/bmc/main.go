@@ -76,13 +76,8 @@ func main() {
 		fatal(err)
 	}
 	opts := sebmc.Options{Timeout: *timeout, PlaistedGreenbaum: *pg}
-	switch *semStr {
-	case "exact":
-		opts.Semantics = sebmc.Exact
-	case "atmost":
-		opts.Semantics = sebmc.AtMost
-	default:
-		fatal(fmt.Errorf("bmc: unknown semantics %q", *semStr))
+	if err := opts.Semantics.UnmarshalText([]byte(*semStr)); err != nil {
+		fatal(err)
 	}
 	if opts.Schedule, err = sebmc.ParseSchedule(*schedStr); err != nil {
 		fatal(err)

@@ -11,7 +11,6 @@
 //	     [-mem-high-water-mb 0] [-quarantine 3] [-quarantine-ttl 30s]
 //	     [-cluster-self URL -cluster-shards URL,URL,...]
 //	     [-cluster-mode proxy|redirect] [-gossip-interval 1s]
-//	     [-replicate=true]
 //
 // Cluster mode: give every shard the same -cluster-shards list (its own
 // advertised URL included) and its own -cluster-self. Each model then
@@ -24,8 +23,9 @@
 // shards. Fresh verdicts replicate write-behind to the key's failover
 // shard (park as hints while it is down, anti-entropy repair closes any
 // remaining gaps), so a kill -9 of the owner still gets warm answers
-// from the survivor; -replicate=false turns all of that off. See the
-// README's "Running a cluster" and "Failure and recovery" sections.
+// from the survivor. Replication is always on in cluster mode, with a
+// 1024-entry queue and a 512-entry hint log per peer. See the README's
+// "Running a cluster" and "Failure and recovery" sections.
 //
 // The BMCD_FAULTPOINTS environment variable arms fault-injection sites
 // for chaos drills (e.g. "sat.propagate=panic@3"); see
@@ -89,7 +89,6 @@ func main() {
 		clusterShards = flag.String("cluster-shards", "", "comma-separated shard base URLs, this shard included; identical on every shard")
 		clusterMode   = flag.String("cluster-mode", "proxy", "how non-owned requests reach their owner: proxy or redirect")
 		gossipEvery   = flag.Duration("gossip-interval", time.Second, "peer health poll period")
-		replicate     = flag.Bool("replicate", true, "replicate fresh verdicts to the failover shard (hinted handoff + anti-entropy repair)")
 	)
 	flag.Parse()
 
@@ -139,11 +138,10 @@ func main() {
 			log.Fatal("bmcd: -cluster-shards requires -cluster-self")
 		}
 		cc := service.ClusterConfig{
-			Self:               *clusterSelf,
-			Shards:             strings.Split(*clusterShards, ","),
-			Mode:               *clusterMode,
-			GossipInterval:     *gossipEvery,
-			DisableReplication: !*replicate,
+			Self:           *clusterSelf,
+			Shards:         strings.Split(*clusterShards, ","),
+			Mode:           *clusterMode,
+			GossipInterval: *gossipEvery,
 		}
 		if err := srv.JoinCluster(cc); err != nil {
 			log.Fatal(err)

@@ -69,6 +69,22 @@ func (s Semantics) String() string {
 	return "exact"
 }
 
+// MarshalText writes the semantics' name.
+func (s Semantics) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses "exact" or "atmost"; anything else fails.
+func (s *Semantics) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "exact":
+		*s = Exact
+	case "atmost":
+		*s = AtMost
+	default:
+		return fmt.Errorf("bmc: unknown semantics %q (want exact or atmost)", b)
+	}
+	return nil
+}
+
 // Prepare returns the system to encode under the given semantics: the
 // system itself for Exact, the self-looped system for AtMost.
 func Prepare(sys *model.System, sem Semantics) *model.System {

@@ -14,94 +14,36 @@ import (
 	"strconv"
 	"sync"
 
-	sebmc "repro"
 	"repro/internal/cluster"
 	"repro/internal/faultpoint"
 )
 
-// verdictKey identifies one answerable question.
+// verdictKey identifies one answerable question: the warm-session
+// identity plus the bound and the deepen flag. Its JSON form is the
+// replicate and repair wire's key; decoding validates the engine,
+// semantics and schedule names.
 type verdictKey struct {
-	Hash   string
-	Bound  int
-	Engine sebmc.Engine
-	Sem    sebmc.Semantics
-	Sched  sebmc.Schedule
-	Deepen bool
-	PG     bool
-}
-
-// verdict is one cached answer. Only decided (non-UNKNOWN) results are
-// cached; UNKNOWN depends on the request's budget, not the question.
-type verdict struct {
-	Status           string
-	FoundAt          int
-	DecidedBy        string
-	Witness          string
-	WitnessValidated bool
-	// Terminal SAFE entries additionally retain the invariant
-	// certificate (validated at fill or adoption time), so a cache hit
-	// can echo the proof object without re-running anything.
-	Terminal             bool
-	Certificate          string
-	CertificateValidated bool
-	Iterations           int
-	BoundsSkipped        int
-	Conflicts            int64
-	PeakBytes            int
-	Bound                int
-}
-
-func newVerdict(res *JobResult) verdict {
-	return verdict{
-		Status:               res.Status,
-		FoundAt:              res.FoundAt,
-		DecidedBy:            res.DecidedBy,
-		Witness:              res.Witness,
-		WitnessValidated:     res.WitnessValidated,
-		Terminal:             res.Terminal,
-		Certificate:          res.Certificate,
-		CertificateValidated: res.CertificateValidated,
-		Iterations:           res.Iterations,
-		BoundsSkipped:        res.BoundsSkipped,
-		Conflicts:            res.Conflicts,
-		PeakBytes:            res.PeakBytes,
-		Bound:                res.Bound,
-	}
-}
-
-// result materializes a JobResult from the cached verdict.
-func (v verdict) result() *JobResult {
-	return &JobResult{
-		Status:               v.Status,
-		Bound:                v.Bound,
-		FoundAt:              v.FoundAt,
-		DecidedBy:            v.DecidedBy,
-		Witness:              v.Witness,
-		WitnessValidated:     v.WitnessValidated,
-		Terminal:             v.Terminal,
-		Certificate:          v.Certificate,
-		CertificateValidated: v.CertificateValidated,
-		Iterations:           v.Iterations,
-		BoundsSkipped:        v.BoundsSkipped,
-		Conflicts:            v.Conflicts,
-		PeakBytes:            v.PeakBytes,
-	}
+	sessionKey
+	Bound  int  `json:"bound"`
+	Deepen bool `json:"deepen,omitempty"`
 }
 
 // entryOverhead is the fixed per-entry cost beyond the variable-length
-// strings: the cacheEntry struct (key copy + verdict scalars + string
-// headers), the list.Element, and an amortized map bucket slot.
-const entryOverhead = 256
+// strings: the cacheEntry struct (key copy, JobResult scalars and
+// string headers), the list.Element, and an amortized map bucket slot.
+const entryOverhead = 320
 
-// bytes is the honest retained size of one entry.
-func entryBytes(k verdictKey, v verdict) int {
+// entryBytes is the honest retained size of one entry.
+func entryBytes(k verdictKey, v JobResult) int {
 	return entryOverhead + len(k.Hash) + len(v.Witness) + len(v.Certificate) +
 		len(v.DecidedBy) + len(v.Status)
 }
 
+// cacheEntry holds one answer by value. Only decided results are
+// cached; UNKNOWN depends on the request's budget, not the question.
 type cacheEntry struct {
 	key verdictKey
-	v   verdict
+	v   JobResult
 	sz  int
 }
 
@@ -133,7 +75,7 @@ func rangeOf(k verdictKey) int {
 // excluded — two shards that independently solved the same question
 // hold entries with different stats but the same identity, and repair
 // must see them as already converged.
-func identityHash(k verdictKey, v verdict) uint64 {
+func identityHash(k verdictKey, v JobResult) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(k.Hash))
 	buf := make([]byte, 0, 64)
@@ -179,7 +121,7 @@ func newVerdictCache(budget int) *verdictCache {
 
 // digestToggleLocked folds an entry into or out of its range digest
 // (XOR is its own inverse, so one body serves insert and remove).
-func (c *verdictCache) digestToggleLocked(k verdictKey, v verdict, insert bool) {
+func (c *verdictCache) digestToggleLocked(k verdictKey, v JobResult, insert bool) {
 	r := rangeOf(k)
 	c.digests[r].Hash ^= identityHash(k, v)
 	if insert {
@@ -225,21 +167,21 @@ func (c *verdictCache) has(k verdictKey) bool {
 	return ok
 }
 
-func (c *verdictCache) get(k verdictKey) (verdict, bool) {
+func (c *verdictCache) get(k verdictKey) (JobResult, bool) {
 	if c.budget < 0 {
-		return verdict{}, false
+		return JobResult{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
-		return verdict{}, false
+		return JobResult{}, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).v, true
 }
 
-func (c *verdictCache) put(k verdictKey, v verdict) {
+func (c *verdictCache) put(k verdictKey, v JobResult) {
 	if c.budget < 0 {
 		return
 	}
@@ -249,6 +191,8 @@ func (c *verdictCache) put(k verdictKey, v verdict) {
 	if err := faultpoint.Hit("service.cache.put"); err != nil {
 		return
 	}
+	// The entry is the answer, not how one requester was served.
+	v.Cached, v.SessionHit, v.ElapsedMS = false, false, 0
 	sz := entryBytes(k, v)
 	if sz > c.budget {
 		return // a single oversized verdict would evict everything

@@ -199,15 +199,25 @@ func TestServiceClusterBatchFanout(t *testing.T) {
 	var jobs []CheckRequest
 	var want []bool
 	owners := make(map[int]bool)
-	for _, sys := range systems {
+	add := func(sys *sebmc.System) {
 		src := aagSource(t, sys)
 		jobs = append(jobs, CheckRequest{Model: src, Format: "aag", Bound: 6, Engine: "sat", Semantics: "atmost"})
 		sc := explicit.New(sys).ShortestCounterexample()
 		want = append(want, sc != -1 && sc <= 6)
 		owners[ownerIndex(t, servers, urls, src)] = true
 	}
-	if len(owners) != 2 {
-		t.Skip("all six models hash to one shard; adjust the model set")
+	for _, sys := range systems {
+		add(sys)
+	}
+	// Shard IDs are random listener ports, so the six models can all
+	// land on one shard; add counters until both shards own an item.
+	// Each added model joins the same shard with odds 1/2, so all 24
+	// doing so is a 2^-24 event.
+	for target := uint64(1); len(owners) < 2; target++ {
+		if target > 24 {
+			t.Fatal("30 models all hash to one shard")
+		}
+		add(circuits.Counter(5, target))
 	}
 	var br BatchResponse
 	if code := postJSON(t, urls[0]+"/v1/batch", BatchRequest{Jobs: jobs}, &br); code != http.StatusOK {

@@ -165,15 +165,7 @@ type job struct {
 // geometric deepening agree on status and FoundAt: the cached verdict
 // also replays Iterations/BoundsSkipped, which are schedule-shaped.
 func (j *job) key() verdictKey {
-	return verdictKey{
-		Hash:   j.hash,
-		Bound:  j.req.Bound,
-		Engine: j.engine,
-		Sem:    j.sem,
-		Sched:  j.sched,
-		Deepen: j.req.Deepen,
-		PG:     j.req.PlaistedGreenbaum,
-	}
+	return verdictKey{sessionKey: j.sessionKey(), Bound: j.req.Bound, Deepen: j.req.Deepen}
 }
 
 // terminalKey is the bound-free cache identity of a terminal verdict
@@ -183,7 +175,7 @@ func (j *job) key() verdictKey {
 // a terminal SAFE answers every bound, semantics, schedule and CNF
 // mode, so none of them belong in the key.
 func terminalKey(hash string) verdictKey {
-	return verdictKey{Hash: hash, Bound: -1, Engine: sebmc.EngineInterp}
+	return verdictKey{sessionKey: sessionKey{Hash: hash, Engine: sebmc.EngineInterp}, Bound: -1}
 }
 
 func (j *job) State() JobState {

@@ -6,17 +6,19 @@ package service
 //   - Replication: every fresh verdict-cache fill is write-behind
 //     replicated to the key's first failover shard (the next entry in
 //     rendezvous preference order). The enqueue is a non-blocking
-//     channel send — a full queue drops the entry and counts it, it
-//     never delays the request path — and a background worker batches
-//     queued entries per target into POST /v1/cluster/replicate. The
-//     receiver re-derives the model hash from the shipped AAG and
-//     replay-validates witness-bearing REACHABLE entries before
-//     adopting them, exactly like served verdicts: a corrupt or
-//     dishonest replica is dropped, not cached.
+//     send on a 1024-entry queue — a full queue drops the entry and
+//     counts it, it never delays the request path — and a background
+//     worker batches queued entries per target into POST
+//     /v1/cluster/replicate. An entry is {key, result, model}: the
+//     verdict-cache key, the cached JobResult itself, and the AAG
+//     source. The receiver re-derives the model hash from the AAG and
+//     replays the REACHABLE witness or the SAFE certificate before
+//     adopting, exactly like served verdicts: a corrupt, dishonest or
+//     uncheckable replica is dropped, not cached.
 //
 //   - Hinted handoff: when the replica target is down per the gossip
-//     tracker (or a send bounces), entries park in a per-peer bounded
-//     hint log. The gossip loop drains a peer's hints the moment a
+//     tracker (or a send bounces), entries park in a per-peer hint log
+//     of at most 512 entries. The gossip loop drains a peer's hints the moment a
 //     poll sees it healthy again, so a rebooted shard gets the
 //     verdicts it missed without waiting for anti-entropy.
 //
@@ -31,12 +33,11 @@ package service
 //     cannot close (entries past the LRU budget, run-stat-only
 //     differences) is pulled once, not every tick.
 //
-// All three paths run under the replicate/hint/repair faultpoints, so
-// the PR-7 chaos storm exercises them; a panic injected into the
+// All three paths are always on in cluster mode and run under the
+// replicate/hint/repair faultpoints, so the chaos storm exercises them; a panic injected into the
 // background worker is contained, never process-fatal.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -51,40 +52,15 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// replicaEntry is the wire form of one verdict-cache entry: the full
-// question (the verdict key), the answer, and — on replicate pushes
-// only — the model source, so the receiver can check the content hash
-// and replay the witness. Repair pulls omit the model (the cache does
-// not retain it); they only carry entries whose witnesses were
-// validated at original fill or replicate time.
+// replicaEntry is the wire form of one verdict-cache entry: the
+// question, the answer exactly as the cache holds it, and — on
+// replicate pushes only — the model source, so the receiver can check
+// the content hash and replay the witness or certificate. Repair pulls
+// omit the model (the cache does not retain it); the receiver then
+// trusts only answers the sender had validated itself.
 type replicaEntry struct {
-	Hash      string `json:"hash"`
-	Bound     int    `json:"bound"`
-	Engine    string `json:"engine"`
-	Semantics string `json:"semantics"`
-	Schedule  string `json:"schedule"`
-	Deepen    bool   `json:"deepen,omitempty"`
-	PG        bool   `json:"pg,omitempty"`
-
-	Status           string `json:"status"`
-	FoundAt          int    `json:"found_at"`
-	DecidedBy        string `json:"decided_by,omitempty"`
-	Witness          string `json:"witness,omitempty"`
-	WitnessValidated bool   `json:"witness_validated,omitempty"`
-	// Terminal SAFE entries ship their invariant certificate; the
-	// receiver replays it by substitution before adopting, exactly as
-	// witnesses are replayed today. A terminal push without a
-	// certificate is rejected — the strongest verdict in the system is
-	// never adopted on a peer's word alone.
-	Terminal             bool   `json:"terminal,omitempty"`
-	Certificate          string `json:"certificate,omitempty"`
-	CertificateValidated bool   `json:"certificate_validated,omitempty"`
-	Iterations           int    `json:"iterations,omitempty"`
-	BoundsSkipped        int    `json:"bounds_skipped,omitempty"`
-	Conflicts            int64  `json:"conflicts,omitempty"`
-	PeakBytes            int    `json:"peak_bytes,omitempty"`
-	ResultBound          int    `json:"result_bound"`
-
+	Key    verdictKey `json:"key"`
+	Result JobResult  `json:"result"`
 	// Model is the AAG source with the bad literal as output 0 — the
 	// same wire convention /v1/check and /v1/cluster/migrate use.
 	Model string `json:"model,omitempty"`
@@ -108,105 +84,12 @@ type repairPayload struct {
 	Truncated bool           `json:"truncated,omitempty"`
 }
 
-func semString(sem sebmc.Semantics) string {
-	if sem == sebmc.AtMost {
-		return "atmost"
-	}
-	return "exact"
-}
-
-func parseSem(s string) (sebmc.Semantics, error) {
-	switch s {
-	case "", "exact":
-		return sebmc.Exact, nil
-	case "atmost":
-		return sebmc.AtMost, nil
-	default:
-		return sebmc.Exact, fmt.Errorf("service: unknown semantics %q", s)
-	}
-}
-
-// wireEntry renders a cache entry for the wire; model may be empty
-// (repair pulls).
-func wireEntry(k verdictKey, v verdict, model string) replicaEntry {
-	return replicaEntry{
-		Hash:                 k.Hash,
-		Bound:                k.Bound,
-		Engine:               k.Engine.String(),
-		Semantics:            semString(k.Sem),
-		Schedule:             k.Sched.String(),
-		Deepen:               k.Deepen,
-		PG:                   k.PG,
-		Status:               v.Status,
-		FoundAt:              v.FoundAt,
-		DecidedBy:            v.DecidedBy,
-		Witness:              v.Witness,
-		WitnessValidated:     v.WitnessValidated,
-		Terminal:             v.Terminal,
-		Certificate:          v.Certificate,
-		CertificateValidated: v.CertificateValidated,
-		Iterations:           v.Iterations,
-		BoundsSkipped:        v.BoundsSkipped,
-		Conflicts:            v.Conflicts,
-		PeakBytes:            v.PeakBytes,
-		ResultBound:          v.Bound,
-		Model:                model,
-	}
-}
-
-// entryKey parses the wire entry's question back into a verdict key.
-func (e replicaEntry) entryKey() (verdictKey, error) {
-	if e.Hash == "" {
-		return verdictKey{}, fmt.Errorf("service: replica entry without model hash")
-	}
-	engine, err := sebmc.ParseEngine(e.Engine)
-	if err != nil {
-		return verdictKey{}, err
-	}
-	sched, err := sebmc.ParseSchedule(e.Schedule)
-	if err != nil {
-		return verdictKey{}, err
-	}
-	sem, err := parseSem(e.Semantics)
-	if err != nil {
-		return verdictKey{}, err
-	}
-	return verdictKey{
-		Hash:   e.Hash,
-		Bound:  e.Bound,
-		Engine: engine,
-		Sem:    sem,
-		Sched:  sched,
-		Deepen: e.Deepen,
-		PG:     e.PG,
-	}, nil
-}
-
-func (e replicaEntry) entryVerdict() verdict {
-	return verdict{
-		Status:               e.Status,
-		FoundAt:              e.FoundAt,
-		DecidedBy:            e.DecidedBy,
-		Witness:              e.Witness,
-		WitnessValidated:     e.WitnessValidated,
-		Terminal:             e.Terminal,
-		Certificate:          e.Certificate,
-		CertificateValidated: e.CertificateValidated,
-		Iterations:           e.Iterations,
-		BoundsSkipped:        e.BoundsSkipped,
-		Conflicts:            e.Conflicts,
-		PeakBytes:            e.PeakBytes,
-		Bound:                e.ResultBound,
-	}
-}
-
 // replTask is one queued write-behind replication: the cache entry
 // plus the parsed system it answers for (serialized to AAG on the
 // worker goroutine, never on the request path).
 type replTask struct {
-	key verdictKey
-	v   verdict
-	sys *sebmc.System
+	entry replicaEntry
+	sys   *sebmc.System
 }
 
 // replBatchMax bounds how many queued entries one send coalesces.
@@ -214,6 +97,16 @@ const replBatchMax = 32
 
 // replSendTimeout bounds every replicate/hint/repair exchange.
 const replSendTimeout = 10 * time.Second
+
+// replQueueDepth bounds the write-behind queue: room for a burst of
+// fresh fills while the worker is blocked on a slow peer. A full queue
+// drops entries (counted, and anti-entropy repairs them) instead of
+// blocking the request path.
+const replQueueDepth = 1024
+
+// hintLimit bounds each peer's hinted-handoff log. Hints beyond it
+// drop oldest-first; anti-entropy repairs what drops.
+const hintLimit = 512
 
 // replicator is the warm-failover engine of one clustered shard: the
 // bounded write-behind queue and its worker, the per-peer hint logs,
@@ -228,32 +121,20 @@ type replicator struct {
 	hints      map[string][]replicaEntry // peer ID -> parked entries
 	hintsTotal int
 	lastPulled map[string]map[int]uint64 // peer ID -> range -> digest hash pulled
-
-	hintLimit int // per-peer park bound
 }
 
-func newReplicator(s *Server, cs *clusterState, queueDepth, hintLimit int) *replicator {
-	if queueDepth == 0 {
-		queueDepth = 1024
-	}
-	if hintLimit <= 0 {
-		hintLimit = 512
-	}
+func newReplicator(s *Server, cs *clusterState) *replicator {
 	return &replicator{
 		s:          s,
 		cs:         cs,
-		queue:      make(chan replTask, queueDepth),
+		queue:      make(chan replTask, replQueueDepth),
 		hints:      make(map[string][]replicaEntry),
 		lastPulled: make(map[string]map[int]uint64),
-		hintLimit:  hintLimit,
 	}
 }
 
 // parked is the current hint-log occupancy, for /metrics.
 func (r *replicator) parked() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.hintsTotal
@@ -320,7 +201,7 @@ func (r *replicator) sendBatch(batch []replTask) {
 	groups := make(map[string][]replicaEntry)
 	targets := make(map[string]cluster.Shard)
 	for _, t := range batch {
-		sh := r.target(t.key.Hash)
+		sh := r.target(t.entry.Key.Hash)
 		if sh == nil {
 			continue
 		}
@@ -328,7 +209,8 @@ func (r *replicator) sendBatch(batch []replTask) {
 		if err := t.sys.Reduce().Circ.WriteAAG(&aag); err != nil {
 			continue
 		}
-		groups[sh.ID] = append(groups[sh.ID], wireEntry(t.key, t.v, aag.String()))
+		t.entry.Model = aag.String()
+		groups[sh.ID] = append(groups[sh.ID], t.entry)
 		targets[sh.ID] = *sh
 	}
 	for id, entries := range groups {
@@ -358,30 +240,11 @@ func (r *replicator) push(target cluster.Shard, entries []replicaEntry) (int, er
 	if err := faultpoint.Hit("service.replicate.send"); err != nil {
 		return 0, err
 	}
-	payload, err := json.Marshal(replicatePayload{Entries: entries})
-	if err != nil {
-		return 0, err
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), replSendTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+"/v1/cluster/replicate", bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.cs.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return 0, &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
-	}
 	var rr replicateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return 0, err
-	}
-	return rr.Accepted, nil
+	err := r.cs.peerJSON(ctx, http.MethodPost, target.URL+"/v1/cluster/replicate", replicatePayload{Entries: entries}, &rr)
+	return rr.Accepted, err
 }
 
 // park appends entries to a peer's hint log, dropping the oldest hints
@@ -394,7 +257,7 @@ func (r *replicator) park(id string, entries []replicaEntry) {
 	before := len(r.hints[id])
 	log := append(r.hints[id], entries...)
 	r.s.metrics.hintsQueued.Add(int64(len(entries)))
-	if over := len(log) - r.hintLimit; over > 0 {
+	if over := len(log) - hintLimit; over > 0 {
 		log = append([]replicaEntry(nil), log[over:]...)
 		r.s.metrics.hintsDropped.Add(int64(over))
 	}
@@ -513,24 +376,9 @@ func (r *replicator) pull(target cluster.Shard, ranges []int) ([]replicaEntry, b
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), replSendTimeout)
 	defer cancel()
-	url := target.URL + "/v1/cluster/repair?ranges=" + strings.Join(parts, ",")
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := r.cs.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
-	}
 	var rp repairPayload
-	if err := json.NewDecoder(resp.Body).Decode(&rp); err != nil {
-		return nil, false, err
-	}
-	return rp.Entries, rp.Truncated, nil
+	err := r.cs.peerJSON(ctx, http.MethodGet, target.URL+"/v1/cluster/repair?ranges="+strings.Join(parts, ","), nil, &rp)
+	return rp.Entries, rp.Truncated, err
 }
 
 // replicateFill hands one fresh verdict-cache fill to the write-behind
@@ -540,34 +388,48 @@ func (r *replicator) pull(target cluster.Shard, ranges []int) ([]replicaEntry, b
 // verdict without a certificate (the k-induction arm proves without an
 // artifact) is not replicated — receivers adopt terminal claims only
 // after replaying a certificate, so the send would just bounce.
-func (s *Server) replicateFill(j *job, key verdictKey, res *JobResult) {
+func (s *Server) replicateFill(j *job, key verdictKey, res JobResult) {
 	cs := s.clusterView()
-	if cs == nil || cs.repl == nil {
+	if cs == nil {
 		return
 	}
 	if res.Terminal && res.Certificate == "" {
 		return
 	}
-	cs.repl.enqueue(replTask{key: key, v: newVerdict(res), sys: j.sys})
+	cs.repl.enqueue(replTask{entry: replicaEntry{Key: key, Result: res}, sys: j.sys})
 }
 
 // adoptReplica validates one wire entry and adopts it into the local
 // verdict cache. withModel distinguishes replicate pushes (model
-// attached: check the content hash, replay the witness) from repair
-// pulls (no model: only entries validated at original fill time are
-// accepted).
+// attached: check the content hash, replay the witness or certificate
+// here) from repair pulls (no model: only answers the sender marks as
+// validated are accepted). Either way a REACHABLE answer must carry
+// its witness and a SAFE one its certificate: an answer that cannot
+// be checked is not adopted on a peer's word.
 func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
-	k, err := e.entryKey()
-	if err != nil {
-		return err
-	}
-	if e.Status != sebmc.Reachable.String() && e.Status != sebmc.Unreachable.String() &&
-		e.Status != sebmc.Safe.String() {
+	res := e.Result
+	reachable, safe := res.Status == sebmc.Reachable.String(), res.Status == sebmc.Safe.String()
+	terminal := e.Key == terminalKey(e.Key.Hash)
+	switch {
+	case e.Key.Hash == "":
+		return fmt.Errorf("service: replica entry without model hash")
+	case !res.decided():
 		// Only decided answers are cacheable; UNKNOWN depends on the
 		// sender's budget and ERROR must never be replayed.
-		return fmt.Errorf("service: replica entry with undecided status %q", e.Status)
+		return fmt.Errorf("service: replica entry with undecided status %q", res.Status)
+	case res.Error != "":
+		return fmt.Errorf("service: replica entry carries an error: %s", res.Error)
+	case safe != terminal || res.Terminal != terminal:
+		// The bound-free key answers every bound of the model, so only a
+		// terminal SAFE may live there, and a SAFE lives nowhere else.
+		return fmt.Errorf("service: replica entry %s (terminal=%v) does not fit its key (bound %d)", res.Status, res.Terminal, e.Key.Bound)
+	case reachable && res.Witness == "":
+		return fmt.Errorf("service: reachable replica entry without witness")
+	case safe && res.Certificate == "":
+		// A terminal claim short-circuits every future bound for the
+		// model, so it is held to the strictest adoption bar.
+		return fmt.Errorf("service: terminal replica entry without certificate")
 	}
-	v := e.entryVerdict()
 	if withModel {
 		if e.Model == "" {
 			return fmt.Errorf("service: replica entry without model source")
@@ -576,19 +438,17 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 		if err != nil {
 			return fmt.Errorf("service: bad replica model: %w", err)
 		}
-		if got := sebmc.ModelHash(sys); got != e.Hash {
-			return fmt.Errorf("service: replica model hash %s does not match claimed %s", got, e.Hash)
+		if got := sebmc.ModelHash(sys); got != e.Key.Hash {
+			return fmt.Errorf("service: replica model hash %s does not match claimed %s", got, e.Key.Hash)
 		}
-		if e.Status == sebmc.Safe.String() {
-			// A terminal claim short-circuits every future bound for the
-			// model, so it is held to the strictest adoption bar: the
-			// shipped invariant certificate must replay here, by
+		// The validated flags say what replayed HERE, whatever the
+		// sender claimed.
+		res.WitnessValidated, res.CertificateValidated = false, false
+		if safe {
+			// The shipped invariant certificate must replay by
 			// substitution against this receiver's own parse of the
-			// model. No certificate, no adoption.
-			if e.Certificate == "" {
-				return fmt.Errorf("service: terminal replica entry without certificate")
-			}
-			cert, err := sebmc.ParseCertificate(e.Certificate)
+			// model.
+			cert, err := sebmc.ParseCertificate(res.Certificate)
 			if err != nil {
 				return fmt.Errorf("service: bad replica certificate: %w", err)
 			}
@@ -598,9 +458,9 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 			if err := cert.Validate(sys.Reduce()); err != nil {
 				return fmt.Errorf("service: replica certificate does not replay: %w", err)
 			}
-			v.CertificateValidated = true
+			res.CertificateValidated = true
 		}
-		if e.Status == sebmc.Reachable.String() && e.Witness != "" {
+		if reachable {
 			// Replay the witness locally, exactly like a served verdict:
 			// REACHABLE claims are never taken on faith across shards.
 			// At-most-k runs (and the deepening schedules that force that
@@ -611,7 +471,7 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 			// cone-of-influence reduction can also change widths) is
 			// rejected here; such entries still reach the peer through
 			// anti-entropy repair, which trusts the fill-time validation.
-			wit, err := sebmc.ParseWitness(e.Witness)
+			wit, err := sebmc.ParseWitness(res.Witness)
 			if err != nil {
 				return fmt.Errorf("service: bad replica witness: %w", err)
 			}
@@ -620,23 +480,23 @@ func (s *Server) adoptReplica(e replicaEntry, withModel bool) error {
 					return fmt.Errorf("service: replica witness does not replay: %w", err)
 				}
 			}
-			v.WitnessValidated = true
+			res.WitnessValidated = true
 		}
-	} else if e.Status == sebmc.Reachable.String() && e.Witness != "" && !e.WitnessValidated {
+	} else if reachable && !res.WitnessValidated {
 		// Repair entries carry no model to replay against; only
 		// witnesses already validated by the shard that computed or
 		// received them are trusted.
 		return fmt.Errorf("service: repair entry carries an unvalidated witness")
-	} else if e.Status == sebmc.Safe.String() && !e.CertificateValidated {
+	} else if safe && !res.CertificateValidated {
 		// The same bar for terminal claims: without a model to replay
 		// against, only certificates already validated by the shard
 		// that computed or adopted them cross on repair.
 		return fmt.Errorf("service: repair entry carries an unvalidated terminal claim")
 	}
-	if s.cache.has(k) {
+	if s.cache.has(e.Key) {
 		return nil // idempotent: the resident entry wins
 	}
-	s.cache.put(k, v)
+	s.cache.put(e.Key, res)
 	return nil
 }
 
@@ -700,7 +560,7 @@ func (s *Server) handleClusterRepair(w http.ResponseWriter, r *http.Request) {
 			out.Truncated = true
 			break
 		}
-		out.Entries = append(out.Entries, wireEntry(e.key, e.v, ""))
+		out.Entries = append(out.Entries, replicaEntry{Key: e.key, Result: e.v})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

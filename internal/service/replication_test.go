@@ -134,42 +134,71 @@ func checkWaitShard(t *testing.T, base string, req CheckRequest) (*JobResult, st
 // the owner with no drain and no migration, and the survivor must
 // answer the same request warm — as a cache hit fed by write-behind
 // replication, with no new solver invocation. Before replication this
-// answered cold (Cached=false after a full re-solve).
+// answered cold (Cached=false after a full re-solve). Each input runs
+// on a fresh cluster, and the survivor's answer must equal the owner's
+// on every field but how it was served, so a field the wire drops
+// fails here: between them the inputs carry a witness, iterations and
+// bounds_skipped, and a terminal validated certificate.
 func TestServiceClusterWarmFailover(t *testing.T) {
-	servers, urls, tss := newFailoverCluster(t, 2, Config{Workers: 2, QueueDepth: 16}, ClusterConfig{})
-	req := CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Witness: true}
-	owner := ownerIndex(t, servers, urls, cexMSL)
-	survivor := 1 - owner
+	deepMSL := `
+model deep
+var c : 6 = 0;
+next c = c + 1;
+bad c == 40;
+`
+	for _, tc := range []struct {
+		name string
+		req  CheckRequest
+		want func(*JobResult) bool
+	}{
+		{"sat", CheckRequest{Model: cexMSL, Bound: 5, Engine: "sat", Witness: true},
+			func(r *JobResult) bool { return r.Status == "REACHABLE" && r.WitnessValidated }},
+		{"sat-incr-deepen", CheckRequest{Model: deepMSL, Bound: 64, Engine: "sat-incr", Deepen: true, Schedule: "geometric", Witness: true},
+			func(r *JobResult) bool { return r.Status == "REACHABLE" && r.Iterations > 0 && r.BoundsSkipped > 0 }},
+		{"interp-certificate", CheckRequest{Model: safeMSL, Bound: 4, Engine: "interp", Certificate: true},
+			func(r *JobResult) bool {
+				return r.Status == "SAFE" && r.Terminal && r.CertificateValidated && r.Certificate != ""
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			servers, urls, tss := newFailoverCluster(t, 2, Config{Workers: 2, QueueDepth: 16}, ClusterConfig{})
+			owner := ownerIndex(t, servers, urls, tc.req.Model)
+			survivor := 1 - owner
 
-	res := checkWait(t, urls[owner], req)
-	if res.Status != "REACHABLE" || !res.WitnessValidated {
-		t.Fatalf("owner verdict: %s validated=%v, want REACHABLE/true", res.Status, res.WitnessValidated)
-	}
-	// The write-behind replica lands on the survivor off the request
-	// path; wait for it (the witness is replay-validated on receipt).
-	waitUntil(t, 5*time.Second, "replica to reach the survivor", func() bool {
-		return replSnap(t, servers[survivor]).ReplicatedIn >= 1
-	})
+			res := checkWait(t, urls[owner], tc.req)
+			if !tc.want(res) {
+				t.Fatalf("owner verdict: %+v", res)
+			}
+			// The write-behind replica lands on the survivor off the
+			// request path; wait for it (the witness or certificate is
+			// replay-validated on receipt).
+			waitUntil(t, 5*time.Second, "replica to reach the survivor", func() bool {
+				return replSnap(t, servers[survivor]).ReplicatedIn >= 1
+			})
 
-	// kill -9: the owner's listener dies mid-cluster, taking its live
-	// connections with it. No drain, no migration runs.
-	tss[owner].CloseClientConnections()
-	tss[owner].Close()
+			// kill -9: the owner's listener dies mid-cluster, taking its
+			// live connections with it. No drain, no migration runs.
+			tss[owner].CloseClientConnections()
+			tss[owner].Close()
 
-	// The same request at the survivor: the proxy walk bounces off the
-	// dead owner and serves locally — warm, from the replicated verdict.
-	got, shard := checkWaitShard(t, urls[survivor], req)
-	if shard != urls[survivor] {
-		t.Fatalf("answered by %q, want the survivor %q", shard, urls[survivor])
-	}
-	if got.Status != "REACHABLE" || got.FoundAt != res.FoundAt {
-		t.Fatalf("failover answer %s@%d, want REACHABLE@%d", got.Status, got.FoundAt, res.FoundAt)
-	}
-	if !got.Cached {
-		t.Fatal("survivor re-solved the model: the replicated verdict was not served as a cache hit")
-	}
-	if got.Witness == "" || !got.WitnessValidated {
-		t.Fatalf("failover answer lost its witness: witness=%q validated=%v", got.Witness, got.WitnessValidated)
+			// The same request at the survivor: the proxy walk bounces off
+			// the dead owner and serves locally — warm, from the
+			// replicated verdict.
+			got, shard := checkWaitShard(t, urls[survivor], tc.req)
+			if shard != urls[survivor] {
+				t.Fatalf("answered by %q, want the survivor %q", shard, urls[survivor])
+			}
+			if !got.Cached {
+				t.Fatal("survivor re-solved the model: the replicated verdict was not served as a cache hit")
+			}
+			want, have := *res, *got
+			for _, r := range []*JobResult{&want, &have} {
+				r.Cached, r.SessionHit, r.ElapsedMS = false, false, 0
+			}
+			if have != want {
+				t.Fatalf("failover answer differs from the owner's:\n got  %+v\n want %+v", have, want)
+			}
+		})
 	}
 }
 
@@ -488,8 +517,10 @@ func TestServiceClusterDeadlineClamp(t *testing.T) {
 
 // TestServiceReplicaAdoptRejects: the replication receiver's validation
 // gauntlet. A good entry is adopted once (idempotently); entries with a
-// mismatched content hash, an unreplayable witness, an undecided
-// status, or an unvalidated repair witness are all refused.
+// mismatched content hash, an unreplayable or missing witness, an
+// undecided status, an error, a non-terminal answer under the terminal
+// key, or an unvalidated repair witness are all refused, and a payload naming an unknown engine is a 400 that adopts
+// nothing.
 func TestServiceReplicaAdoptRejects(t *testing.T) {
 	s, url := newTestServer(t, Config{Workers: 2})
 	// Decide a real verdict to harvest a genuine model + witness pair.
@@ -502,25 +533,17 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := replicaEntry{
-		Hash:        sebmc.ModelHash(sys),
-		Bound:       7, // a key the harvest run did not fill
-		Engine:      "sat",
-		Semantics:   "exact",
-		Schedule:    "linear",
-		Status:      "REACHABLE",
-		FoundAt:     5,
-		Witness:     res.Witness,
-		ResultBound: 7,
-		Model:       aagSource(t, sys),
+		Key: verdictKey{
+			sessionKey: sessionKey{Hash: sebmc.ModelHash(sys), Engine: sebmc.EngineSAT},
+			Bound:      7, // a key the harvest run did not fill
+		},
+		Result: JobResult{Status: "REACHABLE", Bound: 7, FoundAt: 5, Witness: res.Witness},
+		Model:  aagSource(t, sys),
 	}
 	if err := s.adoptReplica(good, true); err != nil {
 		t.Fatalf("valid entry refused: %v", err)
 	}
-	k, err := good.entryKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.cache.has(k) {
+	if !s.cache.has(good.Key) {
 		t.Fatal("adopted entry is not resident")
 	}
 	if err := s.adoptReplica(good, true); err != nil {
@@ -532,32 +555,86 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		mut  func(e *replicaEntry)
 		with bool
 	}{
-		{"hash mismatch", func(e *replicaEntry) { e.Hash = strings.Repeat("0", len(e.Hash)) }, true},
-		{"corrupt witness", func(e *replicaEntry) { e.Witness = "frame  0: state=111 inputs=\n" }, true},
+		{"hash mismatch", func(e *replicaEntry) { e.Key.Hash = strings.Repeat("0", len(e.Key.Hash)) }, true},
+		{"corrupt witness", func(e *replicaEntry) { e.Result.Witness = "frame  0: state=111 inputs=\n" }, true},
 		// Widths that match neither the plain system nor its self-loop
 		// transform must come back as a rejection, not an evaluator
 		// panic escaping the handler.
-		{"wrong-width witness", func(e *replicaEntry) { e.Witness = strings.ReplaceAll(e.Witness, "state=", "state=0") }, true},
-		{"undecided status", func(e *replicaEntry) { e.Status = "UNKNOWN" }, true},
+		{"wrong-width witness", func(e *replicaEntry) {
+			e.Result.Witness = strings.ReplaceAll(e.Result.Witness, "state=", "state=0")
+		}, true},
+		{"undecided status", func(e *replicaEntry) { e.Result.Status = "UNKNOWN" }, true},
 		{"missing model", func(e *replicaEntry) { e.Model = "" }, true},
-		{"unvalidated repair witness", func(e *replicaEntry) { e.Model = ""; e.WitnessValidated = false }, false},
-		{"bad engine", func(e *replicaEntry) { e.Engine = "divination" }, true},
+		{"unvalidated repair witness", func(e *replicaEntry) { e.Model = ""; e.Result.WitnessValidated = false }, false},
+		// A REACHABLE answer is checkable only through its trace: without
+		// one it is refused on push and on repair, whatever it claims.
+		{"reachable without witness", func(e *replicaEntry) { e.Result.Witness = "" }, true},
+		{"reachable without witness on repair", func(e *replicaEntry) {
+			e.Model = ""
+			e.Result.Witness = ""
+			e.Result.WitnessValidated = true
+		}, false},
+		{"result carries an error", func(e *replicaEntry) { e.Result.Error = "witness failed replay" }, true},
+		// The bound-free terminal key answers every bound of the model:
+		// only a terminal SAFE may be filed there.
+		{"reachable under the terminal key", func(e *replicaEntry) { e.Key = terminalKey(e.Key.Hash) }, true},
+		{"unreachable under the terminal key", func(e *replicaEntry) {
+			e.Key = terminalKey(e.Key.Hash)
+			e.Result = JobResult{Status: "UNREACHABLE", Bound: 9, FoundAt: -1}
+		}, true},
 	}
 	for _, c := range cases {
 		e := good
-		e.Bound = 9 // fresh key, so residency can't mask a rejection
+		e.Key.Bound = 9 // fresh key, so residency can't mask a rejection
 		c.mut(&e)
 		if err := s.adoptReplica(e, c.with); err == nil {
 			t.Errorf("%s: entry adopted, want rejection", c.name)
 		}
+		if s.cache.has(e.Key) {
+			t.Errorf("%s: rejected entry is resident", c.name)
+		}
+	}
+
+	// An unknown engine name fails the key's decoding: the whole
+	// payload is a 400, and its valid first entry is not adopted either.
+	valid := good
+	valid.Key.Bound = 15
+	raw, err := json.Marshal(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	divination := strings.Replace(string(raw), `"engine":"sat"`, `"engine":"divination"`, 1)
+	if divination == string(raw) {
+		t.Fatalf("entry JSON names no sat engine: %s", raw)
+	}
+	body := `{"entries":[` + string(raw) + `,` + divination + `]}`
+	resp, err := http.Post(url+"/v1/cluster/replicate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad engine: HTTP %d, want 400", resp.StatusCode)
+	}
+	if s.cache.has(valid.Key) {
+		t.Fatal("bad engine: a payload answered 400 still adopted an entry")
+	}
+
+	// A peer still on the flat pre-nested entry shape is refused entry
+	// by entry, not with a 400: its fields decode to an empty key.
+	flat := `{"entries":[{"hash":"` + good.Key.Hash + `","bound":17,"engine":"sat","semantics":"exact","schedule":"linear",` +
+		`"status":"REACHABLE","found_at":5,"witness_validated":true,"result_bound":17}]}`
+	var rr replicateResponse
+	if code := postJSON(t, url+"/v1/cluster/replicate", json.RawMessage(flat), &rr); code != http.StatusOK || rr.Accepted != 0 {
+		t.Fatalf("flat entry: HTTP %d accepted %d, want 200 accepted 0", code, rr.Accepted)
 	}
 
 	// The repair path's positive case: no model attached, but the
 	// witness was validated by the shard it came from — adoptable.
 	repair := good
-	repair.Bound = 11
+	repair.Key.Bound = 11
 	repair.Model = ""
-	repair.WitnessValidated = true
+	repair.Result.WitnessValidated = true
 	if err := s.adoptReplica(repair, false); err != nil {
 		t.Fatalf("validated repair entry refused: %v", err)
 	}
@@ -571,10 +648,10 @@ func TestServiceReplicaAdoptRejects(t *testing.T) {
 		t.Fatalf("atmost harvest run: %s witness=%q", am.Status, am.Witness)
 	}
 	atmost := good
-	atmost.Bound, atmost.ResultBound = 13, 13
-	atmost.Semantics = "atmost"
-	atmost.FoundAt = am.FoundAt
-	atmost.Witness = am.Witness
+	atmost.Key.Bound, atmost.Result.Bound = 13, 13
+	atmost.Key.Sem = sebmc.AtMost
+	atmost.Result.FoundAt = am.FoundAt
+	atmost.Result.Witness = am.Witness
 	if err := s.adoptReplica(atmost, true); err != nil {
 		t.Fatalf("at-most witness entry refused: %v", err)
 	}

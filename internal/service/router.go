@@ -62,7 +62,10 @@ const deadlineHeader = "X-Bmcd-Deadline-Ms"
 // ClusterConfig joins a server to a sharded deployment. Every shard
 // must be configured with the same Shards list (order does not matter,
 // content does): ownership is computed independently on each shard and
-// is only coherent when the lists agree.
+// is only coherent when the lists agree. Warm failover — verdict
+// write-behind, hinted handoff and anti-entropy repair (replication.go)
+// — is always on, with fixed bounds: a 1024-entry replication queue and
+// a 512-entry hint log per peer.
 type ClusterConfig struct {
 	// Self is this shard's advertised base URL; it must appear in
 	// Shards.
@@ -76,17 +79,6 @@ type ClusterConfig struct {
 	Mode string
 	// GossipInterval is the peer health poll period (0 = 1s).
 	GossipInterval time.Duration
-	// DisableReplication turns off the verdict write-behind (and with
-	// it hinted handoff and anti-entropy repair) — failover degrades to
-	// local-cold, the pre-replication behavior. For A/B benchmarks.
-	DisableReplication bool
-	// ReplicaQueue bounds the write-behind replication queue (0 = 1024).
-	// A full queue drops entries (counted) instead of blocking the
-	// request path.
-	ReplicaQueue int
-	// HintLimit bounds each peer's hinted-handoff log (0 = 512). Hints
-	// beyond it drop oldest-first; anti-entropy repairs what drops.
-	HintLimit int
 }
 
 const (
@@ -104,8 +96,8 @@ type clusterState struct {
 	mode     string
 	interval time.Duration
 	tracker  *cluster.Tracker
-	client   *http.Client // gossip, proxy and migration transport
-	repl     *replicator  // warm-failover machinery; nil when disabled
+	client   *http.Client // gossip, proxy, migration and replication transport
+	repl     *replicator  // warm-failover machinery
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -164,18 +156,13 @@ func (s *Server) JoinCluster(cc ClusterConfig) error {
 		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}},
 		stop:    make(chan struct{}),
 	}
-	if !cc.DisableReplication {
-		cs.repl = newReplicator(s, cs, cc.ReplicaQueue, cc.HintLimit)
-	}
+	cs.repl = newReplicator(s, cs)
 	if !s.cluster.CompareAndSwap(nil, cs) {
 		return fmt.Errorf("service: already joined a cluster")
 	}
-	cs.wg.Add(1)
-	go cs.gossipLoop(s)
-	if cs.repl != nil {
-		cs.wg.Add(1)
-		go cs.repl.loop()
-	}
+	cs.wg.Add(2)
+	go cs.gossipLoop()
+	go cs.repl.loop()
 	return nil
 }
 
@@ -194,20 +181,17 @@ func (cs *clusterState) clusterStop() {
 // to peers the round just heard from, and cache-digest disagreements
 // trigger anti-entropy repair pulls — so convergence after a partition
 // heal is bounded by gossip intervals, not by traffic.
-func (cs *clusterState) gossipLoop(s *Server) {
+func (cs *clusterState) gossipLoop() {
 	defer cs.wg.Done()
 	t := time.NewTicker(cs.interval)
 	defer t.Stop()
 	for {
-		polled := cs.pollPeers()
-		if cs.repl != nil {
-			for _, p := range polled {
-				if !p.ok {
-					continue
-				}
-				cs.repl.drainHints(p.shard)
-				cs.repl.antiEntropy(p.shard, p.st)
+		for _, p := range cs.pollPeers() {
+			if !p.ok {
+				continue
 			}
+			cs.repl.drainHints(p.shard)
+			cs.repl.antiEntropy(p.shard, p.st)
 		}
 		select {
 		case <-cs.stop:
@@ -238,19 +222,8 @@ func (cs *clusterState) pollPeers() []polledPeer {
 			// demotes only on two consecutive failures (hysteresis), so
 			// one poll lost under load does not flap the peer down and
 			// trigger a shed-and-hint storm.
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.URL+"/v1/cluster/health", nil)
-			if err != nil {
-				cs.tracker.NoteFailedPoll(sh.ID)
-				return
-			}
-			resp, err := cs.client.Do(req)
-			if err != nil {
-				cs.tracker.NoteFailedPoll(sh.ID)
-				return
-			}
-			defer drainClose(resp.Body)
 			var st cluster.Status
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
+			if cs.peerJSON(ctx, http.MethodGet, sh.URL+"/v1/cluster/health", nil, &st) != nil {
 				cs.tracker.NoteFailedPoll(sh.ID)
 				return
 			}
@@ -382,6 +355,44 @@ func (s *Server) routeCheck(w http.ResponseWriter, r *http.Request, j *job) bool
 	}
 	s.metrics.clusterShedServed.Add(1)
 	return false // every peer bounced; serve locally as the last resort
+}
+
+// peerJSON is the one round trip every cluster-internal JSON exchange
+// uses (gossip polls, batch partitions, migration, replicate pushes and
+// repair pulls): in, when non-nil, is sent as the JSON body; a 200
+// answer is decoded into out, when non-nil; anything else is an
+// *APIError. The request carries forwardHeader, so a peer serves it
+// locally whatever its own ring says. The hedged /v1/check proxy
+// streams instead and keeps its own startAttempt.
+func (cs *clusterState) peerJSON(ctx context.Context, method, url string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		payload, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	req.Header.Set(forwardHeader, cs.self.ID)
+	resp, err := cs.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // attemptOutcome is one proxy attempt's terminal state.
@@ -581,26 +592,8 @@ func (cs *clusterState) proxyBatch(ctx context.Context, target cluster.Shard, it
 	for i, j := range items {
 		reqs[i] = j.req
 	}
-	payload, err := json.Marshal(BatchRequest{Jobs: reqs})
-	if err != nil {
-		return nil, err
-	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost, target.URL+"/v1/batch", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(forwardHeader, cs.self.ID)
-	resp, err := cs.client.Do(preq)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
-	}
 	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	if err := cs.peerJSON(ctx, http.MethodPost, target.URL+"/v1/batch", BatchRequest{Jobs: reqs}, &br); err != nil {
 		return nil, err
 	}
 	if len(br.Results) != len(reqs) {
@@ -688,17 +681,14 @@ func (s *Server) clusterBatch(w http.ResponseWriter, r *http.Request, items []*j
 }
 
 // migratePayload is the POST /v1/cluster/migrate body: everything a
-// peer needs to rebuild a warm session's cheap half — the model, the
-// session identity, and the proven-unreachable prefix. Learned clauses
-// and solver internals do not serialize; the prefix is what makes a
-// deepen on the new owner resume instead of restart.
+// peer needs to rebuild a warm session's cheap half — the session
+// identity (hash, engine, semantics, schedule, pg), the model, and the
+// proven-unreachable prefix. Learned clauses and solver internals do
+// not serialize; the prefix is what makes a deepen on the new owner
+// resume instead of restart.
 type migratePayload struct {
-	Hash       string `json:"hash"`
+	sessionKey
 	Model      string `json:"model"` // AAG, bad literal as output 0
-	Engine     string `json:"engine"`
-	Semantics  string `json:"semantics"` // "exact" or "atmost"
-	Schedule   string `json:"schedule"`
-	PG         bool   `json:"pg,omitempty"`
 	ProvenUpTo int    `json:"proven_up_to"`
 }
 
@@ -740,38 +730,10 @@ func (cs *clusterState) sendMigration(ctx context.Context, target cluster.Shard,
 	if err := snap.sys.Reduce().Circ.WriteAAG(&aag); err != nil {
 		return err
 	}
-	sem := "exact"
-	if snap.key.Sem == sebmc.AtMost {
-		sem = "atmost"
-	}
-	payload, err := json.Marshal(migratePayload{
-		Hash:       snap.key.Hash,
-		Model:      aag.String(),
-		Engine:     snap.key.Engine.String(),
-		Semantics:  sem,
-		Schedule:   snap.key.Sched.String(),
-		PG:         snap.key.PG,
-		ProvenUpTo: snap.proven,
-	})
-	if err != nil {
-		return err
-	}
 	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, target.URL+"/v1/cluster/migrate", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := cs.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return &APIError{StatusCode: resp.StatusCode, Message: readMessage(resp.Body)}
-	}
-	return nil
+	p := migratePayload{sessionKey: snap.key, Model: aag.String(), ProvenUpTo: snap.proven}
+	return cs.peerJSON(sctx, http.MethodPost, target.URL+"/v1/cluster/migrate", p, nil)
 }
 
 // migrateResponse is the POST /v1/cluster/migrate answer.
@@ -818,25 +780,6 @@ func (s *Server) handleClusterMigrate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad migration: %w", err))
 		return
 	}
-	engine, err := sebmc.ParseEngine(p.Engine)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sched, err := sebmc.ParseSchedule(p.Schedule)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sem := sebmc.Exact
-	switch p.Semantics {
-	case "", "exact":
-	case "atmost":
-		sem = sebmc.AtMost
-	default:
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: unknown semantics %q", p.Semantics))
-		return
-	}
 	if p.Hash == "" || p.ProvenUpTo < 0 {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: migration without hash or proven prefix"))
 		return
@@ -850,9 +793,8 @@ func (s *Server) handleClusterMigrate(w http.ResponseWriter, r *http.Request) {
 	// model hash their own submitted source, and both derive from the
 	// same parsed circuit, so the warm session must be filed under that
 	// address, not a re-serialization's.
-	key := sessionKey{Hash: p.Hash, Engine: engine, Sem: sem, Sched: sched, PG: p.PG}
-	opts := sebmc.Options{Semantics: sem, Schedule: sched, PlaistedGreenbaum: p.PG}
-	adopted := s.sessions.adopt(key, sys, opts, p.ProvenUpTo)
+	opts := sebmc.Options{Semantics: p.Sem, Schedule: p.Sched, PlaistedGreenbaum: p.PG}
+	adopted := s.sessions.adopt(p.sessionKey, sys, opts, p.ProvenUpTo)
 	if adopted {
 		s.metrics.clusterMigratedIn.Add(1)
 	}

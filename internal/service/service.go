@@ -24,6 +24,7 @@ package service
 
 import (
 	"context"
+	"encoding"
 	"errors"
 	"fmt"
 	"runtime"
@@ -349,24 +350,17 @@ func (s *Server) newJob(req CheckRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := s.cfg.DefaultEngine
-	if req.Engine != "" {
-		if engine, err = sebmc.ParseEngine(req.Engine); err != nil {
-			return nil, err
-		}
-	}
-	sem := sebmc.Exact
-	switch req.Semantics {
-	case "", "exact":
-	case "atmost":
-		sem = sebmc.AtMost
-	default:
-		return nil, fmt.Errorf("service: unknown semantics %q (want exact or atmost)", req.Semantics)
-	}
-	sched := s.cfg.DefaultSchedule
-	if req.Schedule != "" {
-		if sched, err = sebmc.ParseSchedule(req.Schedule); err != nil {
-			return nil, err
+	// The names parse through the same text codecs the cluster wire
+	// uses; "" means the server default.
+	engine, sem, sched := s.cfg.DefaultEngine, sebmc.Exact, s.cfg.DefaultSchedule
+	for _, f := range []struct {
+		name string
+		dst  encoding.TextUnmarshaler
+	}{{req.Engine, &engine}, {req.Semantics, &sem}, {req.Schedule, &sched}} {
+		if f.name != "" {
+			if err := f.dst.UnmarshalText([]byte(f.name)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if !req.Deepen {
@@ -545,11 +539,10 @@ func (s *Server) answer(j *job) *JobResult {
 	if res := s.terminalHit(j); res != nil {
 		return res
 	}
-	if v, ok := s.cache.get(j.key()); ok {
+	if res, ok := s.cache.get(j.key()); ok {
 		s.metrics.cacheHits.Add(1)
-		res := v.result()
 		res.Cached = true
-		return res
+		return &res
 	}
 	s.metrics.cacheMisses.Add(1)
 
@@ -574,16 +567,15 @@ func (s *Server) answer(j *job) *JobResult {
 // the requested bound, engine and schedule are all advisory — the
 // answer is an O(lookup) cache hit whatever was asked.
 func (s *Server) terminalHit(j *job) *JobResult {
-	v, ok := s.cache.get(terminalKey(j.hash))
+	res, ok := s.cache.get(terminalKey(j.hash))
 	if !ok {
 		return nil
 	}
 	s.metrics.cacheHits.Add(1)
 	s.metrics.terminalHits.Add(1)
-	res := v.result()
 	res.Bound = j.req.Bound // the entry is bound-free; answer what was asked
 	res.Cached = true
-	return res
+	return &res
 }
 
 // finishResult is the single post-processing path every answered job —
@@ -610,11 +602,11 @@ func (s *Server) finishResult(j *job, res *JobResult) *JobResult {
 			if res.Terminal {
 				key = terminalKey(j.hash)
 			}
-			s.cache.put(key, newVerdict(res))
+			s.cache.put(key, *res)
 			// Write-behind replicate the fresh fill to the key's first
 			// failover shard (no-op standalone). A non-blocking enqueue:
 			// replication must never add latency to the request path.
-			s.replicateFill(j, key, res)
+			s.replicateFill(j, key, *res)
 			// Fresh computes only: a cache hit re-serves the recorded
 			// savings without skipping any new solver work.
 			s.metrics.deepenBoundsSkipped.Add(int64(res.BoundsSkipped))

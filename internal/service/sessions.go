@@ -20,15 +20,17 @@ import (
 	"repro/internal/faultpoint"
 )
 
+// sessionKey identifies one warm session. Its JSON form names the
+// engine, semantics and schedule, and is the migrate wire's identity.
 type sessionKey struct {
-	Hash   string
-	Engine sebmc.Engine
-	Sem    sebmc.Semantics
+	Hash   string          `json:"hash"`
+	Engine sebmc.Engine    `json:"engine"`
+	Sem    sebmc.Semantics `json:"semantics"`
 	// Sched: a Session bakes the schedule into its Options at
 	// construction (geometric forces at-most-k on the warm solver), so
 	// sessions built for different schedules are not interchangeable.
-	Sched sebmc.Schedule
-	PG    bool
+	Sched sebmc.Schedule `json:"schedule"`
+	PG    bool           `json:"pg,omitempty"`
 }
 
 func (j *job) sessionKey() sessionKey {

@@ -114,8 +114,8 @@ func TestServiceProveFlag(t *testing.T) {
 
 // TestServiceTerminalAdoptGauntlet drives adoptReplica through the
 // terminal cases: a valid certificate adopts, and every flavor of
-// unverifiable terminal claim — tampered, missing, wrong-kind,
-// unvalidated-on-repair — is rejected, not cached.
+// unverifiable terminal claim — tampered, missing, wrong-kind, filed
+// under a bounded key, unvalidated-on-repair — is rejected, not cached.
 func TestServiceTerminalAdoptGauntlet(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 
@@ -133,17 +133,15 @@ func TestServiceTerminalAdoptGauntlet(t *testing.T) {
 
 	entry := func() replicaEntry {
 		return replicaEntry{
-			Hash:        hash,
-			Bound:       -1,
-			Engine:      "interp",
-			Schedule:    "linear",
-			Semantics:   "exact",
-			Status:      "SAFE",
-			FoundAt:     -1,
-			Terminal:    true,
-			Certificate: cert.String(),
-			ResultBound: 4,
-			Model:       aag,
+			Key: terminalKey(hash),
+			Result: JobResult{
+				Status:      "SAFE",
+				Bound:       4,
+				FoundAt:     -1,
+				Terminal:    true,
+				Certificate: cert.String(),
+			},
+			Model: aag,
 		}
 	}
 
@@ -158,7 +156,7 @@ func TestServiceTerminalAdoptGauntlet(t *testing.T) {
 
 	t.Run("missing-certificate", func(t *testing.T) {
 		e := entry()
-		e.Certificate = ""
+		e.Result.Certificate = ""
 		if err := s.adoptReplica(e, true); err == nil {
 			t.Fatal("terminal claim without certificate adopted")
 		}
@@ -175,7 +173,7 @@ bad a == 12;
 			t.Fatal(err)
 		}
 		e := entry()
-		e.Certificate = proveCert(t, other).String()
+		e.Result.Certificate = proveCert(t, other).String()
 		if err := s.adoptReplica(e, true); err == nil {
 			t.Fatal("certificate for a different model adopted")
 		}
@@ -183,16 +181,24 @@ bad a == 12;
 
 	t.Run("witness-kind-certificate", func(t *testing.T) {
 		e := entry()
-		e.Certificate = "certificate: witness\nstates 1\n"
+		e.Result.Certificate = "certificate: witness\nstates 1\n"
 		if err := s.adoptReplica(e, true); err == nil {
 			t.Fatal("witness-kind certificate accepted for a terminal claim")
+		}
+	})
+
+	t.Run("bounded-key", func(t *testing.T) {
+		e := entry()
+		e.Key.Bound = 4
+		if err := s.adoptReplica(e, true); err == nil {
+			t.Fatal("terminal claim adopted under a bounded key")
 		}
 	})
 
 	t.Run("repair-unvalidated", func(t *testing.T) {
 		e := entry()
 		e.Model = ""
-		e.CertificateValidated = false
+		e.Result.CertificateValidated = false
 		if err := s.adoptReplica(e, false); err == nil {
 			t.Fatal("repair adopted an unvalidated terminal claim")
 		}
@@ -201,8 +207,8 @@ bad a == 12;
 	t.Run("repair-validated", func(t *testing.T) {
 		e := entry()
 		e.Model = ""
-		e.Certificate = cert.String()
-		e.CertificateValidated = true
+		e.Result.Certificate = cert.String()
+		e.Result.CertificateValidated = true
 		if err := s.adoptReplica(e, false); err != nil {
 			t.Fatalf("repair rejected a fill-time-validated terminal entry: %v", err)
 		}

@@ -190,6 +190,15 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("sebmc: unknown engine %q", s)
 }
 
+// MarshalText writes the engine's name, so JSON carries "sat", not 0.
+func (e Engine) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
+// UnmarshalText parses a name ParseEngine accepts; anything else fails.
+func (e *Engine) UnmarshalText(b []byte) (err error) {
+	*e, err = ParseEngine(string(b))
+	return err
+}
+
 // Schedule selects the bound schedule an iterative-deepening run
 // follows. Single bounded checks ignore it.
 type Schedule uint8
@@ -228,6 +237,15 @@ func ParseSchedule(s string) (Schedule, error) {
 		return ScheduleGeometric, nil
 	}
 	return 0, fmt.Errorf("sebmc: unknown schedule %q (want linear or geometric)", s)
+}
+
+// MarshalText writes the schedule's name.
+func (s Schedule) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a name ParseSchedule accepts; anything else fails.
+func (s *Schedule) UnmarshalText(b []byte) (err error) {
+	*s, err = ParseSchedule(string(b))
+	return err
 }
 
 // Options bound a check. The zero value runs unbounded with exact-k
